@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"runtime/pprof"
 	"testing"
 	"time"
 
 	"dynmds/internal/cluster"
-	"dynmds/internal/endure"
 	"dynmds/internal/metrics"
 	"dynmds/internal/net"
 	"dynmds/internal/sim"
@@ -26,7 +27,15 @@ func runSmall(t *testing.T, name string, seed int64) (*cluster.Cluster, *outcome
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, w.run(c, t.TempDir())
+	e := env{c: c, cfg: c.Cfg, tmp: t.TempDir(), held: func() {}}
+	if w.ownCluster {
+		e.c = nil
+	}
+	o := w.run(e)
+	if o.finish != nil {
+		o.finish()
+	}
+	return e.c, o
 }
 
 // Every workload passes all of its checks at reduced scale, loses no
@@ -49,24 +58,6 @@ func TestWorkloadsPassChecksSmall(t *testing.T) {
 				t.Errorf("seeds 7 and 8 produced identical statistics")
 			}
 		})
-	}
-}
-
-// The benchmark runs the endurance protocol itself to time each public call; it
-// must reach the same end state as endure.Run.
-func TestAgingProtocolMatchesEndure(t *testing.T) {
-	_, o := runSmall(t, "aging-1m", 3)
-	cfg := agingConfig(3, true)
-	c, _, err := setUp(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := endure.Run(endure.Options{Cluster: c.Cfg, Every: agingCheckpointEvery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Digest != o.endureDigest {
-		t.Errorf("benchmark digest %q, endure.Run %q", o.endureDigest, res.Digest)
 	}
 }
 
@@ -202,6 +193,23 @@ func TestLayerOf(t *testing.T) {
 		if got := layerOf(tc.stack); got != tc.want {
 			t.Errorf("layerOf(%v) = %s, want %s", tc.stack, got, tc.want)
 		}
+	}
+}
+
+// The timed calls name the program's methods, so that a rename fails
+// here instead of reading 0.
+func TestTimedCallsNameMethods(t *testing.T) {
+	for name, fn := range map[string]any{
+		"endure.quiesce_s": (*cluster.Cluster).Quiesce,
+		"snap.encode_s":    (*cluster.Cluster).CheckpointTo,
+		"snap.decode_s":    (*cluster.Cluster).RestoreCheckpoint,
+	} {
+		if got := runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name(); timedCalls[name] != got {
+			t.Errorf("%s names %q, the method is %q", name, timedCalls[name], got)
+		}
+	}
+	if len(timedCalls) != 3 {
+		t.Errorf("%d timed calls, want 3", len(timedCalls))
 	}
 }
 

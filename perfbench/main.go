@@ -3,7 +3,7 @@
 // prints the end-to-end metrics (or, with -trace 1, the per-layer ones)
 // as one JSON object on the last line of standard output:
 //
-//	go run . -workload shift-closed -seed 1 -seconds 30 -trace 0
+//	go run . -workload shift-closed -seed 1 -seconds 20 -trace 0
 //
 // A run makes passes (set-up plus run phase) over several traffic seeds
 // derived from -seed until -seconds have passed, and every pass of one
@@ -23,7 +23,6 @@ import (
 
 	"dynmds/internal/cluster"
 	"dynmds/internal/fsgen"
-	"dynmds/internal/metrics"
 )
 
 // minRounds is the least number of measured rounds: wall_s takes each
@@ -33,8 +32,8 @@ const minRounds = 2
 // setup_s is the median of at least minSetups set-ups that together
 // take at least minSetupTime.
 const (
-	minSetups    = 15
-	minSetupTime = time.Second
+	minSetups    = 31
+	minSetupTime = 3 * time.Second
 )
 
 // namespaceSeed generates every workload's namespace: the file system
@@ -45,7 +44,7 @@ const namespaceSeed = 1
 func main() {
 	name := flag.String("workload", "", "workload: shift-closed, hotspot-leases or aging-1m")
 	seed := flag.Int64("seed", 1, "workload seed")
-	seconds := flag.Int("seconds", 30, "how long to keep repeating the workload")
+	seconds := flag.Int("seconds", 20, "how long to keep repeating the workload")
 	trace := flag.Int("trace", 0, "1 runs the traced pass and prints the per-layer metrics")
 	tmp := flag.String("tmpdir", ".bench_build/tmp", "directory for checkpoint files")
 	flag.Parse()
@@ -134,9 +133,11 @@ func setUp(cfg cluster.Config) (*cluster.Cluster, *repeat, error) {
 	return c, rep, nil
 }
 
-// runOnce sets up and runs the workload. The live heap is measured
-// after a forced GC while the cluster and its frozen namespace are
-// still held.
+// runOnce sets up and runs the workload. A pass without hooks reads the
+// live heap after a forced GC at the end of the run phase, while the
+// run's cluster and its frozen namespace are still held, and leaves the
+// time that takes out of the run phase; a traced pass skips it, so that
+// the forced GC stays out of its profiles.
 func runOnce(w scenario, cfg cluster.Config, tmp string, h hooks) (*repeat, error) {
 	var ms runtime.MemStats
 	runtime.GC()
@@ -146,6 +147,21 @@ func runOnce(w scenario, cfg cluster.Config, tmp string, h hooks) (*repeat, erro
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w.name, err)
 	}
+	e := env{c: c, cfg: c.Cfg, tmp: tmp, held: func() {}}
+	if w.ownCluster {
+		e.c, c = nil, nil
+	}
+	var heldFor time.Duration
+	if h.before == nil {
+		e.held = func() {
+			t := time.Now()
+			var hs runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&hs)
+			rep.heap = hs.HeapAlloc - heap0
+			heldFor += time.Since(t)
+		}
+	}
 
 	runtime.GC()
 	runtime.ReadMemStats(&ms)
@@ -154,18 +170,17 @@ func runOnce(w scenario, cfg cluster.Config, tmp string, h hooks) (*repeat, erro
 		h.before()
 	}
 	t := time.Now()
-	rep.out = w.run(c, tmp)
-	rep.wall = time.Since(t)
+	rep.out = w.run(e)
+	rep.wall = time.Since(t) - heldFor
 	if h.after != nil {
 		h.after()
 	}
 	runtime.ReadMemStats(&ms)
 	rep.mallocs, rep.bytes = ms.Mallocs-mallocs0, ms.TotalAlloc-bytes0
-
-	runtime.GC()
-	runtime.ReadMemStats(&ms)
-	rep.heap = ms.HeapAlloc - heap0
 	runtime.KeepAlive(c)
+	if rep.out.finish != nil {
+		rep.out.finish()
+	}
 	return rep, nil
 }
 
@@ -178,7 +193,8 @@ func trafficSeed(seed int64, j int) int64 { return seed*1000 + int64(j) }
 // dropped, it runs whole rounds, one pass per traffic seed, until the
 // span has passed and at least minRounds are done. wall_s averages each
 // traffic seed's fastest measured pass, the other host figures average
-// every measured pass, and the simulated figures pool the traffic seeds.
+// every measured pass, and the simulated figures average the traffic
+// seeds.
 func untraced(w scenario, seed int64, span time.Duration, tmp string) (*report, error) {
 	start := time.Now()
 	cfgs := make([]cluster.Config, w.traffic)
@@ -192,8 +208,8 @@ func untraced(w scenario, seed int64, span time.Duration, tmp string) (*report, 
 			return err
 		}
 		groups[j] = append(groups[j], r)
-		fmt.Fprintf(os.Stderr, "%s seed %d/%d: setup %.3fs wall %.3fs ops %d\n",
-			w.name, seed, j, r.setup().Seconds(), r.wall.Seconds(), r.out.ops)
+		fmt.Fprintf(os.Stderr, "%s seed %d/%d: setup %.3fs wall %.3fs ops %d p50 %.4fms p999 %.4fms\n",
+			w.name, seed, j, r.setup().Seconds(), r.wall.Seconds(), r.out.ops, r.out.p50, r.out.p999)
 		return nil
 	}
 	if err := pass(0); err != nil {
@@ -208,15 +224,15 @@ func untraced(w scenario, seed int64, span time.Duration, tmp string) (*report, 
 	}
 	rep := newReport(groups)
 	var measured []*repeat
-	lat := metrics.NewLatHist()
-	var wall, x float64
+	var wall, x, p50, p999 float64
 	for j, g := range groups {
 		if j == 0 {
 			g = g[1:]
 		}
 		measured = append(measured, g...)
-		lat.Merge(g[0].out.lat)
 		x += g[0].out.opsPerSimS
+		p50 += g[0].out.p50
+		p999 += g[0].out.p999
 		fastest := g[0].wall
 		for _, r := range g {
 			fastest = min(fastest, r.wall)
@@ -249,16 +265,16 @@ func untraced(w scenario, seed int64, span time.Duration, tmp string) (*report, 
 		ops += float64(r.out.ops)
 	}
 	n := float64(len(measured))
-	p50, p999 := quantilesMS(lat)
+	k := float64(w.traffic)
 	m := rep.Metrics
 	m["setup_s"] = metric{medianOf(setups), "s"}
-	m["wall_s"] = metric{wall / float64(w.traffic), "s"}
+	m["wall_s"] = metric{wall / k, "s"}
 	m["heap_mb"] = metric{heap / n, "MB"}
 	m["allocs_per_op"] = metric{mallocs / ops, "allocs"}
 	m["alloc_bytes_per_op"] = metric{bytes / ops, "B"}
-	m["sim_ops_per_s"] = metric{x / float64(w.traffic), "ops/s"}
-	m["sim_p50_ms"] = metric{p50, "ms"}
-	m["sim_p999_ms"] = metric{p999, "ms"}
+	m["sim_ops_per_s"] = metric{x / k, "ops/s"}
+	m["sim_p50_ms"] = metric{p50 / k, "ms"}
+	m["sim_p999_ms"] = metric{p999 / k, "ms"}
 	return rep, nil
 }
 

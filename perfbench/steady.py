@@ -3,7 +3,8 @@
 
     python3 perfbench/steady.py [--workload NAME ...] [--runs 10] [--seed 1]
 
-Run from the root of a checkout. Run i uses seed SEED+i. For each metric it
+Run from the root of a checkout. Run i uses seed SEED+i, untraced, for
+BENCHMARK.json's run_seconds. For each metric it
 prints the median, the quartiles (statistics.quantiles, n=4), min, max, and
 the quartile spread as a share of the median next to the metric's bound from
 BENCHMARK.json; a spread at or above a third of the bound is flagged. The
@@ -18,9 +19,9 @@ import subprocess
 import sys
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, seconds):
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     if out.returncode != 0:
         sys.exit(f"steady.py: {' '.join(cmd)} exited {out.returncode}")
@@ -35,15 +36,13 @@ def main():
                     help="workload to run (repeatable; default all)")
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
-    ap.add_argument("--trace", type=int, default=0, choices=(0, 1))
     args = ap.parse_args()
     names = args.workload or [w["name"] for w in bench["workloads"]]
     bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"]}
     for name in names:
         results = []
         for i in range(args.runs):
-            r = run_once(name, args.seed + i, args.seconds, args.trace)
+            r = run_once(name, args.seed + i, bench["run_seconds"])
             results.append(r)
             print(f"{name} seed {args.seed + i}: correct={r['correct']} "
                   f"attempted={r['attempted']} failed={r['failed']}", flush=True)
@@ -57,10 +56,10 @@ def main():
             med = statistics.median(vals)
             q1, _, q3 = statistics.quantiles(vals, n=4) if len(vals) > 1 else (med, med, med)
             spread = (q3 - q1) / med if med else float("nan")
-            bound = bounds.get(metric) if args.trace == 0 else None
-            flag = " !" if bound is not None and not spread < bound / 3 else ""
+            bound = bounds[metric]
+            flag = "" if spread < bound / 3 else " !"
             print(f"{metric:34} {med:12.6g} {q1:12.6g} {q3:12.6g} {min(vals):12.6g} "
-                  f"{max(vals):12.6g} {spread:7.4f} {bound if bound is not None else '':>6}{flag}")
+                  f"{max(vals):12.6g} {spread:7.4f} {bound:>6}{flag}")
         print(flush=True)
 
 

@@ -4,40 +4,49 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
-	"time"
 
-	"dynmds/internal/chaos"
 	"dynmds/internal/client"
 	"dynmds/internal/cluster"
 	"dynmds/internal/endure"
 	"dynmds/internal/mds"
 	"dynmds/internal/metrics"
-	"dynmds/internal/namespace"
 	"dynmds/internal/sim"
 	"dynmds/internal/snap"
 	"dynmds/internal/workload"
 )
 
-// A scenario is one benchmark workload: it builds one cluster configuration from the seed and drives
-// a built cluster through its run phase. small selects the reduced
-// scale the tests use; the benchmark always runs full scale.
+// A scenario is one benchmark workload: it builds one cluster
+// configuration from the seed and drives a run phase over it. small
+// selects the reduced scale the tests use; the benchmark always runs
+// full scale.
 type scenario struct {
 	name   string
 	config func(seed int64, small bool) cluster.Config
-	// run executes the run phase on a freshly built cluster. tmp is a
-	// private directory for files the run writes. The returned outcome
-	// carries the simulated statistics and every check violation.
-	run func(c *cluster.Cluster, tmp string) *outcome
+	// run executes the run phase. The returned outcome carries the
+	// simulated statistics and every check violation.
+	run func(e env) *outcome
+	// ownCluster marks a workload whose runner builds its own cluster
+	// from env.cfg: set-up still builds one, to time it, and drops it.
+	ownCluster bool
 	// traffic is how many traffic seeds a run averages over: one seed's
 	// balancer decisions and tail shift its figures by up to ±15%.
 	traffic int
 }
 
+// env is what a run phase gets.
+type env struct {
+	c   *cluster.Cluster // built in set-up; nil for ownCluster workloads
+	cfg cluster.Config   // the configuration, holding set-up's frozen namespace
+	tmp string           // a private directory for files the run writes
+	// held is called once, at the end of the run, while the run's
+	// cluster is still live: it reads the heap that cluster holds.
+	held func()
+}
+
 var scenarios = []scenario{
 	{name: "shift-closed", config: shiftConfig, run: runShift, traffic: 3},
 	{name: "hotspot-leases", config: hotspotConfig, run: runHotspot, traffic: 8},
-	{name: "aging-1m", config: agingConfig, run: runAging, traffic: 5},
+	{name: "aging-1m", config: agingConfig, run: runAging, ownCluster: true, traffic: 5},
 }
 
 func findWorkload(name string) (scenario, error) {
@@ -56,8 +65,8 @@ type outcome struct {
 	attempted uint64 // client ops issued + quiesces + fsck checks + restores
 	failed    uint64 // client ops timed out or orphaned + failed quiesces, fscks, restores
 
-	opsPerSimS   float64          // completions per simulated second in the measurement window
-	lat          *metrics.LatHist // client response times
+	opsPerSimS   float64 // completions per simulated second in the measurement window
+	p50, p999    float64 // client response time quantiles, ms
 	events       uint64
 	messages     uint64
 	bytes        uint64
@@ -78,8 +87,9 @@ type outcome struct {
 	drift        float64
 	endureDigest string
 
-	// Host time of the endurance plane's public calls (aging-1m only).
-	quiesce, encode, decode time.Duration
+	// finish, when set, completes the outcome after the run phase and
+	// its measurements: work the run phase's figures must not include.
+	finish func()
 
 	violations []error
 }
@@ -93,13 +103,9 @@ func (o *outcome) violate(err error) {
 // digest fingerprints the simulated statistics; in-process repeats of a
 // seed, traced or not, must agree on it.
 func (o *outcome) digest() string {
-	var p50, p999 float64
-	if o.lat != nil { // nil when the run stopped early
-		p50, p999 = quantilesMS(o.lat)
-	}
 	return fmt.Sprintf("ops=%d att=%d fail=%d x=%x p50=%x p999=%x ev=%d msg=%d b=%d q=%d fwd=%x hit=%x pre=%x mig=%d lease=%d/%d/%d/%d pop=%x tomb=%d live=%d lazy=%x snap=%d drift=%x end=%s",
 		o.ops, o.attempted, o.failed, math.Float64bits(o.opsPerSimS),
-		math.Float64bits(p50), math.Float64bits(p999), o.events,
+		math.Float64bits(o.p50), math.Float64bits(o.p999), o.events,
 		o.messages, o.bytes, o.maxLinkQueue, math.Float64bits(o.forwardFrac),
 		math.Float64bits(o.hitRate), math.Float64bits(o.prefixFrac), o.migrations,
 		o.leaseHits, o.leaseGrants, o.leaseRecalls, o.fanouts,
@@ -109,8 +115,7 @@ func (o *outcome) digest() string {
 }
 
 // fillCommon copies the counters every workload reports from a result.
-func (o *outcome) fillCommon(c *cluster.Cluster, r *cluster.Result) {
-	o.events = c.ExecutedEvents()
+func (o *outcome) fillCommon(r *cluster.Result) {
 	o.messages = r.Net.Messages
 	o.bytes = r.Net.Bytes
 	o.maxLinkQueue = r.Net.MaxQueueDepth
@@ -154,8 +159,8 @@ func shiftConfig(seed int64, small bool) cluster.Config {
 	return cfg
 }
 
-func runShift(c *cluster.Cluster, _ string) *outcome {
-	cfg := c.Cfg
+func runShift(e env) *outcome {
+	c, cfg := e.c, e.cfg
 	var inWindow uint64
 	countWindow := func(now sim.Time) {
 		if now >= cfg.Warmup {
@@ -166,11 +171,11 @@ func runShift(c *cluster.Cluster, _ string) *outcome {
 		cl.OnComplete = countWindow
 	}
 	r := c.Run()
-	o := &outcome{}
-	o.fillCommon(c, r)
+	o := &outcome{events: c.ExecutedEvents()}
+	o.fillCommon(r)
 	o.ops = r.Completed
 	o.opsPerSimS = float64(inWindow) / (cfg.Duration - cfg.Warmup).Seconds()
-	o.lat = c.LatH
+	o.p50, o.p999 = quantilesMS(c.LatH)
 
 	var n, sum float64
 	for _, cl := range c.Clients {
@@ -193,6 +198,7 @@ func runShift(c *cluster.Cluster, _ string) *outcome {
 	o.failed = issued - completed
 	o.violate(checkDrained(issued, completed, timedOut))
 	o.violate(checkFabric(c.Fab.Summary()))
+	e.held()
 	return o
 }
 
@@ -237,8 +243,8 @@ func hotspotConfig(seed int64, small bool) cluster.Config {
 	return cfg
 }
 
-func runHotspot(c *cluster.Cluster, _ string) *outcome {
-	cfg := c.Cfg
+func runHotspot(e env) *outcome {
+	c, cfg := e.c, e.cfg
 	// StartEndure arms an open-loop cluster exactly as Run does; stepping
 	// to the warm-up edge reads the completions the window excludes.
 	c.StartEndure()
@@ -246,11 +252,11 @@ func runHotspot(c *cluster.Cluster, _ string) *outcome {
 	warm := c.Pop.Completed()
 	c.RunTo(cfg.Duration)
 	r := c.Collect()
-	o := &outcome{}
-	o.fillCommon(c, r)
+	o := &outcome{events: c.ExecutedEvents()}
+	o.fillCommon(r)
 	o.ops = r.Completed
 	o.opsPerSimS = float64(r.Completed-warm) / (cfg.Duration - cfg.Warmup).Seconds()
-	o.lat = popLatency(c)
+	o.p50, o.p999 = quantilesMS(popLatency(c))
 	o.leaseHitFrac = float64(r.LeaseHits) / expectedReads(cfg, r)
 	o.popBytesPerClient = float64(r.PopFootprint) / float64(r.Clients)
 
@@ -263,6 +269,7 @@ func runHotspot(c *cluster.Cluster, _ string) *outcome {
 	o.violate(checkDrained(r.Issued, r.Completed, r.TimedOut))
 	o.violate(checkRecalls(r.LeaseRecalls, r.LeaseRecalled, r.LeaseAcks))
 	o.violate(checkFabric(r.Net))
+	e.held()
 	return o
 }
 
@@ -347,122 +354,49 @@ func agingConfig(seed int64, small bool) cluster.Config {
 	return opt.Cluster
 }
 
-// agingRun is the endurance protocol over one cluster: run to each
-// checkpoint instant, quiesce, compact tombstones past the threshold,
-// simfsck, serialize. It mirrors endure.Run step for step so the public
-// calls it makes can be timed one by one; the tests check that both
-// reach the same digest.
-type agingRun struct {
-	c        *cluster.Cluster
-	base     chaos.Baseline
-	instants []sim.Time
-	o        *outcome
-	tmp      string // where checkpoints are written; "" writes none
-	// Per-segment completion rates, for the drift figure.
-	rates         []float64
-	prevAt        sim.Time
-	prevCompleted uint64
-	// Name-index read-through lookups and misses, counted as endure
-	// counts them: outside simfsck's own tree walks.
-	lookups, misses         uint64
-	prevLookups, prevMisses uint64
-}
-
-// segment runs checkpoint k. It reports false when the run cannot go on.
-func (a *agingRun) segment(k int) bool {
-	c, o := a.c, a.o
-	c.RunTo(a.instants[k])
-	o.attempted++
-	t := time.Now()
-	err := c.Quiesce()
-	o.quiesce += time.Since(t)
+func runAging(e env) *outcome {
+	cfg := e.cfg
+	o := &outcome{}
+	instants := endure.Instants(agingCheckpointEvery, cfg.Duration)
+	// Every checkpoint quiesces and runs simfsck, in the uninterrupted
+	// run and again in the restored one; the restore itself is one more.
+	restored := len(instants) - agingRestoreFrom - 1
+	o.attempted = uint64(2*(len(instants)+restored) + 1)
+	opt := endure.Options{Cluster: cfg, Every: agingCheckpointEvery, Dir: e.tmp}
+	run := opt
+	run.OnRow = func(r endure.Row) {
+		if r.Index == len(instants)-1 {
+			e.held()
+		}
+	}
+	res, err := endure.Run(run)
 	if err != nil {
 		o.failed++
-		o.violate(fmt.Errorf("checkpoint %d: %w", k, err))
-		return false
-	}
-	serving := a.instants[k] - a.prevAt
-	if k > 0 {
-		serving -= cluster.QuiesceDrain
-	}
-	done := c.Pop.Completed()
-	a.rates = append(a.rates, float64(done-a.prevCompleted)/serving.Seconds())
-	a.prevAt, a.prevCompleted = a.instants[k], done
-	tree := c.Tree()
-	lookups, misses := tree.LazyStats()
-	a.lookups += lookups - a.prevLookups
-	a.misses += misses - a.prevMisses
-	if !tree.TombstonesCompacted() && tree.TombstoneCount() >= endure.DefaultCompactAt {
-		tree.CompactTombstones()
-	}
-	o.attempted++
-	if err := chaos.Fsck(c, a.base); err != nil {
-		o.failed++
-		o.violate(fmt.Errorf("checkpoint %d failed simfsck: %w", k, err))
-	}
-	a.prevLookups, a.prevMisses = tree.LazyStats()
-	if a.tmp != "" {
-		t = time.Now()
-		w := snap.NewWriter()
-		w.Begin("perfbench")
-		w.I64(int64(c.Now()))
-		w.U64(uint64(tree.MaxID()))
-		w.End()
-		c.CheckpointTo(w)
-		data := w.Bytes()
-		o.encode += time.Since(t)
-		if err := os.WriteFile(checkpointPath(a.tmp, k), data, 0o644); err != nil {
-			o.violate(err)
-			return false
-		}
-		o.snapBytes += int64(len(data))
-	}
-	if k < len(a.instants)-1 {
-		c.Resume()
-	}
-	return true
-}
-
-func checkpointPath(dir string, k int) string {
-	return filepath.Join(dir, fmt.Sprintf("ck-%03d.snap", k))
-}
-
-// runFrom executes checkpoints first.. and collects the result; false
-// means the run stopped early.
-func (a *agingRun) runFrom(first int) (*cluster.Result, bool) {
-	for k := first; k < len(a.instants); k++ {
-		if !a.segment(k) {
-			return nil, false
-		}
-	}
-	return a.c.Collect(), true
-}
-
-func runAging(c *cluster.Cluster, tmp string) *outcome {
-	cfg := c.Cfg
-	o := &outcome{}
-	a := &agingRun{c: c, base: chaos.Capture(c), instants: endure.Instants(agingCheckpointEvery, cfg.Duration), o: o, tmp: tmp}
-	a.prevLookups, a.prevMisses = c.Tree().LazyStats()
-	c.StartEndure()
-	r, ok := a.runFrom(0)
-	if !ok {
+		o.violate(err)
 		return o
 	}
-	o.fillCommon(c, r)
+	r := res.Cluster
+	o.fillCommon(r)
 	o.ops = r.Completed
-	serving := cfg.Duration - sim.Time(len(a.instants)-1)*cluster.QuiesceDrain
+	serving := cfg.Duration - sim.Time(len(instants)-1)*cluster.QuiesceDrain
 	// The window covers the whole serving time: arrivals only pause
 	// inside quiesces, and the pause is excluded.
 	o.opsPerSimS = float64(r.Completed) / serving.Seconds()
-	o.lat = popLatency(c)
 	o.popBytesPerClient = float64(r.PopFootprint) / float64(r.Clients)
-	o.tombstones = c.Tree().TombstoneCount()
-	o.liveInodes = c.Tree().Len()
-	if a.lookups > 0 {
-		o.lazyMissRate = float64(a.misses) / float64(a.lookups)
+	last := res.Rows[len(res.Rows)-1]
+	o.tombstones = last.Tombstones
+	o.liveInodes = last.LiveInodes
+	o.lazyMissRate = last.LazyMissRate
+	for _, row := range res.Rows {
+		fi, err := os.Stat(row.Path)
+		if err != nil {
+			o.violate(err)
+			continue
+		}
+		o.snapBytes += fi.Size()
 	}
-	o.endureDigest = endure.Digest(r)
-	o.drift = drift(a.rates)
+	o.endureDigest = res.Digest
+	o.drift = res.Drift()
 	o.attempted += r.Issued
 	o.failed += r.Issued - r.Completed
 	o.violate(checkDrained(r.Issued, r.Completed, r.TimedOut))
@@ -470,71 +404,52 @@ func runAging(c *cluster.Cluster, tmp string) *outcome {
 	o.violate(checkArrivals(r.Issued,
 		float64(pc.Clients)*clientArrivals(pc.Rate, wheelTick.Seconds(),
 			[]rateSegment{{from: 0, to: serving.Seconds(), mul: 1}})))
-	if tmp != "" {
-		o.violate(restoreAging(cfg, tmp, a.instants, o))
+
+	again, err := endure.Restore(opt, res.Rows[agingRestoreFrom].Path)
+	if err == nil {
+		err = checkDigest(again.Digest, res.Digest)
+	}
+	if err != nil {
+		o.failed++
+		o.violate(fmt.Errorf("restore from checkpoint %d: %w", agingRestoreFrom, err))
+	}
+	o.finish = func() {
+		lat, err := checkpointLatency(cfg, last.Path)
+		if err != nil {
+			o.violate(err)
+			return
+		}
+		o.p50, o.p999 = quantilesMS(lat)
 	}
 	return o
 }
 
-// restoreAging rebuilds the cluster, restores the checkpoint the run
-// wrote at agingRestoreFrom, runs it to the end, and compares digests.
-func restoreAging(cfg cluster.Config, tmp string, instants []sim.Time, o *outcome) error {
-	o.attempted++
-	fail := func(err error) error {
-		o.failed++
-		return fmt.Errorf("restore from checkpoint %d: %w", agingRestoreFrom, err)
-	}
-	data, err := os.ReadFile(checkpointPath(tmp, agingRestoreFrom))
+// checkpointLatency reads the client response-time histogram back from
+// a checkpoint file. endure.Run keeps its cluster to itself, and the
+// cluster.Result it returns holds only the histogram's bucket bounds;
+// the run's final checkpoint holds the whole histogram. The file's
+// leading section is the endurance runner's header, which a cluster
+// restore skips.
+func checkpointLatency(cfg cluster.Config, path string) (*metrics.LatHist, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return fail(err)
+		return nil, err
+	}
+	rd, err := snap.NewReader(data)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := rd.Section(); err != nil {
+		return nil, err
 	}
 	c, err := cluster.New(cfg)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	base := chaos.Capture(c)
-	t := time.Now()
-	rd, err := snap.NewReader(data)
-	if err != nil {
-		return fail(err)
-	}
-	if name, err := rd.Section(); err != nil || name != "perfbench" {
-		return fail(fmt.Errorf("bad leading section %q: %v", name, err))
-	}
-	resumeAt := sim.Time(rd.I64())
-	base.PriorMaxID = namespace.InodeID(rd.U64())
-	c.StartEndureRestored(resumeAt)
 	if err := c.RestoreCheckpoint(rd); err != nil {
-		return fail(err)
+		return nil, fmt.Errorf("reading %s back: %w", path, err)
 	}
-	o.decode += time.Since(t)
-	if !c.Tree().TombstonesCompacted() && c.Tree().TombstoneCount() >= endure.DefaultCompactAt {
-		c.Tree().CompactTombstones()
-	}
-	c.RunTo(resumeAt)
-	c.Resume()
-	a := &agingRun{c: c, base: base, instants: instants, o: o}
-	r, ok := a.runFrom(agingRestoreFrom + 1)
-	if !ok {
-		return fail(fmt.Errorf("restored run stopped early"))
-	}
-	if err := checkDigest(endure.Digest(r), o.endureDigest); err != nil {
-		return fail(err)
-	}
-	return nil
-}
-
-// drift is the endurance plane's throughput degradation: 1 − last/peak
-// over the per-segment completion rates.
-func drift(rates []float64) float64 {
-	peak := 0.0
-	for _, r := range rates {
-		peak = math.Max(peak, r)
-	}
-	if len(rates) < 2 || peak <= 0 {
-		return 0
-	}
-	return 1 - rates[len(rates)-1]/peak
+	return popLatency(c), nil
 }
 
 // ---------------------------------------------------------------------
